@@ -53,7 +53,7 @@ def _legacy_iter_projected_models(clauses, onto):
     clause_list = list(clauses)
     while True:
         solver = Solver(clause_list)
-        model = solver.solve(use_pure_literals=False)
+        model = solver.solve()
         if model is None:
             return
         projection_items = {a: model.get(a, False) for a in onto_set}

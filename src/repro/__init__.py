@@ -16,7 +16,7 @@ The library implements the paper's full stack from scratch:
   :class:`~repro.core.engine.Database` façade;
 * **query answering** (:mod:`repro.query`) — certain/possible answers;
 * a dependency-free ground-logic substrate (:mod:`repro.logic`): formulas,
-  parser, DPLL SAT, model enumeration with projection, normal forms.
+  parser, CDCL SAT, model enumeration with projection, normal forms.
 
 Quickstart::
 

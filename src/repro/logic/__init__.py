@@ -2,8 +2,8 @@
 
 Everything the paper's theories and algorithms need from logic: terms and
 atoms, a formula AST with parser and printer, valuations, the sigma
-substitution of Step 2, normal forms, a DPLL SAT solver with (projected)
-model enumeration, entailment services, and the heuristic simplifier that
+substitution of Step 2, normal forms, an incremental CDCL SAT solver with
+(projected) model enumeration, entailment services, and the heuristic simplifier that
 Section 4 calls vital.
 """
 

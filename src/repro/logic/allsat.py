@@ -50,7 +50,7 @@ def iter_models(
         # consumer's context, so a span held open across a yield would
         # adopt the consumer's unrelated spans as children.
         with span("allsat.model", index=produced):
-            model = solver.solve(use_pure_literals=False)
+            model = solver.solve()
         if model is None:
             return
         yield model
@@ -82,7 +82,7 @@ def iter_projected_models(
     produced = 0
     while limit is None or produced < limit:
         with span("allsat.model", index=produced):
-            model = solver.solve(use_pure_literals=False)
+            model = solver.solve()
         if model is None:
             return
         projection_items = {

@@ -22,7 +22,7 @@ the process lives) that upper layers use as a cache key — e.g. the GUA
 axiom-instance registry keys on ``instance.arena_id``.
 
 The module-level :data:`ARENA` instance is process-global; its counters
-feed ``Database.statistics()`` and the ``repro.bench.intern_bench`` driver.
+feed ``Database.statistics()``.
 """
 
 from __future__ import annotations

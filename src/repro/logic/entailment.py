@@ -10,7 +10,8 @@ These are the reasoning services the rest of the library calls:
 * theory-consistency checks reduce to satisfiability.
 
 All procedures work on ground formulas.  Small formulas go through the
-truth-table path automatically; larger ones through DPLL on a direct CNF.
+truth-table path automatically; larger ones through the SAT solver on a
+direct CNF.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.logic.semantics import evaluate
 from repro.logic.syntax import And, Formula, Not, conjoin
 from repro.logic.valuation import Valuation
 
-#: Below this many atoms, a truth table beats building CNF + DPLL.
+#: Below this many atoms, a truth table beats building CNF + a SAT solver.
 _TRUTH_TABLE_LIMIT = 12
 
 

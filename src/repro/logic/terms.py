@@ -15,9 +15,11 @@ Two kinds of *atom* can appear in a formula:
 
 All four types are hash-consed through :data:`repro.logic.arena.ARENA`:
 ``Constant("a") is Constant("a")`` holds, equality short-circuits on
-identity, and hashes are precomputed at interning time.  ``copy``/``pickle``
-round-trips re-enter the interning constructor via ``__reduce__``, so
-identity semantics survive serialization within a process.
+identity, and hashes are precomputed at interning time.  The two atom
+types also carry an ``arena_id`` from the arena, which the SAT solver
+keys and orders its variables by.  ``copy``/``pickle`` round-trips
+re-enter the interning constructor via ``__reduce__``, so identity
+semantics survive serialization within a process.
 
 All support a total order (used by indexes and deterministic printing) and
 cheap hashing (used pervasively by valuations and substitutions).
@@ -187,7 +189,7 @@ class GroundAtom:
     indexes rely on.
     """
 
-    __slots__ = ("predicate", "args", "_hash", "__weakref__")
+    __slots__ = ("predicate", "args", "arena_id", "_hash", "__weakref__")
 
     def __new__(cls, predicate: Predicate, args: Tuple[Constant, ...]):
         if not isinstance(predicate, Predicate):
@@ -207,6 +209,7 @@ class GroundAtom:
         self = object.__new__(cls)
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "args", args)
+        object.__setattr__(self, "arena_id", ARENA.next_id())
         object.__setattr__(self, "_hash", hash(("GroundAtom", predicate, args)))
         table[(predicate, args)] = self
         return self
@@ -262,7 +265,7 @@ class PredicateConstant:
     because the paper allows predicate constants in stored wffs.
     """
 
-    __slots__ = ("name", "_hash", "__weakref__")
+    __slots__ = ("name", "arena_id", "_hash", "__weakref__")
 
     def __new__(cls, name: str):
         table = ARENA.table("PredicateConstant")
@@ -276,6 +279,7 @@ class PredicateConstant:
         ARENA.misses += 1
         self = object.__new__(cls)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arena_id", ARENA.next_id())
         object.__setattr__(self, "_hash", hash(("PredicateConstant", name)))
         table[name] = self
         return self

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import ReproError
 from repro.ldml.ast import Assert_, Delete, Insert, Modify
@@ -126,11 +126,20 @@ def theory_to_dict(theory: ExtendedRelationalTheory) -> Dict[str, Any]:
     }
 
 
-def theory_from_dict(data: Dict[str, Any]) -> ExtendedRelationalTheory:
-    if data.get("format") != THEORY_FORMAT:
+def _check_format(data: Any, expected: str) -> None:
+    """Reject anything but a JSON object tagged with the *expected* format."""
+    if not isinstance(data, Mapping):
         raise PersistenceError(
-            f"not a {THEORY_FORMAT} document (format={data.get('format')!r})"
+            f"not a {expected} document (a {type(data).__name__}, not an object)"
         )
+    if data.get("format") != expected:
+        raise PersistenceError(
+            f"not a {expected} document (format={data.get('format')!r})"
+        )
+
+
+def theory_from_dict(data: Dict[str, Any]) -> ExtendedRelationalTheory:
+    _check_format(data, THEORY_FORMAT)
     schema: Optional[DatabaseSchema] = None
     if data.get("schema"):
         schema = schema_from_dict(data["schema"])
@@ -241,10 +250,7 @@ def database_from_dict(data: Dict[str, Any]):
     from repro.core.transaction import KIND_GROUND, KIND_SIMULTANEOUS
     from repro.core.pipeline import NormalizedUpdate
 
-    if data.get("format") != DATABASE_FORMAT:
-        raise PersistenceError(
-            f"not a {DATABASE_FORMAT} document (format={data.get('format')!r})"
-        )
+    _check_format(data, DATABASE_FORMAT)
     backend = data.get("backend", "gua")
     live = theory_from_dict(data["theory"]) if data.get("theory") else None
     # Pre-base documents stored only the live theory: fall back to an empty

@@ -17,8 +17,8 @@ the store's live indexes.
 
 Reasoning services (consistency, world enumeration/counting) compile the
 section to CNF via Tseitin (selector variables are predicate constants and
-therefore invisible) and run the DPLL enumerator with projection onto the
-ground-atom universe.
+therefore invisible) and run the CDCL solver's enumerator with projection
+onto the ground-atom universe.
 """
 
 from __future__ import annotations
@@ -388,7 +388,7 @@ class ExtendedRelationalTheory:
         """Does the theory have at least one model?"""
         with span("theory.consistency"):
             solver = Solver(self.clauses(), stats=self.sat_stats)
-            return solver.solve(use_pure_literals=True) is not None
+            return solver.solve() is not None
 
     def alternative_worlds(
         self, *, limit: Optional[int] = None

@@ -183,6 +183,19 @@ class TestDatabaseRoundTrip:
         with pytest.raises(PersistenceError):
             database_from_dict({"format": "nope"})
 
+    @pytest.mark.parametrize("document", [[], None, "x", 3])
+    def test_non_mapping_documents_rejected(self, document):
+        with pytest.raises(PersistenceError):
+            database_from_dict(document)
+        with pytest.raises(PersistenceError):
+            theory_from_dict(document)
+
+    def test_non_mapping_embedded_theory_rejected(self):
+        document = database_to_dict(Database())
+        document["base"] = ["not", "a", "theory"]
+        with pytest.raises(PersistenceError):
+            database_from_dict(document)
+
 
 class TestSimultaneousJournal:
     """Regression: open/simultaneous updates must journal as the set, not

@@ -1,4 +1,4 @@
-"""Unit tests for the DPLL solver."""
+"""Unit tests for the CDCL solver."""
 
 import itertools
 

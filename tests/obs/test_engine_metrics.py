@@ -62,6 +62,23 @@ class TestNamespacedView:
         assert flat["updates_applied"] == snap["engine.updates_applied"]
         assert flat["pipeline_execute_calls"] == snap["pipeline.execute.calls"]
 
+    def test_sat_learning_counters_exported(self, traced):
+        # PHP(3,2) over the façade: three pigeons cannot share two holes,
+        # so the consistency check must conflict and learn.
+        facts = ["P(a,h1) | P(a,h2)", "P(b,h1) | P(b,h2)", "P(c,h1) | P(c,h2)"]
+        for hole in ("h1", "h2"):
+            for x, y in (("a", "b"), ("a", "c"), ("b", "c")):
+                facts.append(f"!P({x},{hole}) | !P({y},{hole})")
+        db = Database(facts=facts)
+        assert db.is_consistent() is False
+        snap = db.metrics_snapshot()
+        assert snap["sat.conflicts"] > 0
+        assert snap["sat.learned"] > 0
+        assert snap["sat.restarts"] == 0
+        solve = next(traced.roots()[-1].find("sat.solve"))
+        assert solve.attrs["learned"] == snap["sat.learned"]
+        assert solve.attrs["restarts"] == 0
+
     def test_stage_histograms_recorded(self):
         db = worked_db("gua")
         db.update("DELETE R(a) WHERE T")
